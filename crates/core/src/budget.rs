@@ -18,13 +18,42 @@
 //! provable lower bound `LB = max_v(bytes(v) + Σ bytes(preds(v)))`, and a
 //! round limit turns pathological cases into
 //! [`ScheduleError::BudgetSearchExhausted`] with the Kahn fallback exposed.
+//!
+//! # Departure from Algorithm 2, line 3: the first τ
+//!
+//! The paper starts the search at τ_max. Here the first probe runs at
+//! `τ₀ = max(LB, min(τ_max, beam peak))`, where the beam peak is that of a
+//! default-width [`BeamBackend`] order of the same graph and pinned prefix.
+//! τ_max stays the hard budget the `'no solution'` escalation climbs back
+//! to. A loose τ is what makes a probe time out: on a concat RandWire
+//! n16 cell the Kahn-budget probe ran into the step timeout, and the search
+//! needed three probes and tens of millions of DP transitions where one
+//! probe at the beam peak needs a few million. The beam itself takes
+//! milliseconds.
+//!
+//! * **Soundness.** The DP prunes only states with `peak > τ`, and the beam
+//!   order is achievable, so µ* ≤ τ₀: no optimal path is pruned and the
+//!   first probe returns the optimum unless it times out.
+//! * **Order identity.** For any τ ≥ µ*, the budget-pruned frontier of each
+//!   step is exactly the part of the unbudgeted frontier with peak ≤ τ: a
+//!   pruned state's descendants have peaks at least as high, so they are
+//!   pruned too, and the surviving min-peak representative of each
+//!   signature is the same state in the same canonical `(hash, z)` order.
+//!   The returned schedule is therefore the one every τ ≥ µ* returns,
+//!   bit for bit, and `adaptive`'s cache key and cached results stay valid.
+//!   The differential fuzzer checks this law on random DAGs.
+//!
+//! The beam runs without the caller's incumbent bound (a seeded incumbent
+//! could otherwise cut it off) and without its event sink. Cancellation and
+//! the deadline propagate out of it; any other beam error leaves τ₀ at
+//! τ_max. Its effort is part of the outcome's statistics.
 
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 use serenity_ir::{mem, topo, Graph};
 
-use crate::backend::{CompileContext, CompileEvent};
+use crate::backend::{BeamBackend, CompileContext, CompileEvent, SchedulerBackend};
 use crate::dp::{DpScheduler, DpSolution};
 use crate::{Schedule, ScheduleError, ScheduleStats};
 
@@ -61,7 +90,10 @@ pub struct BudgetSearchOutcome {
     pub hard_budget: u64,
     /// Every round in order, including the successful one.
     pub rounds: Vec<BudgetRound>,
-    /// Aggregate statistics over all rounds.
+    /// Search effort of the beam run whose peak bounds the first τ (zero
+    /// when the beam failed).
+    pub beam_stats: ScheduleStats,
+    /// Aggregate statistics over the beam run and all rounds.
     pub total_stats: ScheduleStats,
 }
 
@@ -197,11 +229,15 @@ impl AdaptiveSoftBudget {
         let kahn_order = topo::kahn(graph);
         let hard_budget = mem::peak_bytes(graph, &kahn_order)?;
         let lower_bound = mem::peak_lower_bound(graph);
+        // First probe at the lower of the Kahn and beam peaks (see the
+        // module docs): both are achievable, so µ* ≤ τ₀.
+        let (beam_peak, beam_stats) = self.beam_start(graph, prefix, ctx)?;
+        let mut total_stats = beam_stats;
 
-        let mut tau_old = hard_budget;
-        let mut tau_new = hard_budget;
+        let mut tau_old =
+            beam_peak.map_or(hard_budget, |peak| peak.min(hard_budget)).max(lower_bound);
+        let mut tau_new = tau_old;
         let mut rounds: Vec<BudgetRound> = Vec::new();
-        let mut total_stats = ScheduleStats::default();
 
         for _ in 0..self.config.max_rounds {
             ctx.check()?;
@@ -228,6 +264,7 @@ impl AdaptiveSoftBudget {
                         final_budget: tau_new,
                         hard_budget,
                         rounds,
+                        beam_stats,
                         total_stats,
                     });
                 }
@@ -276,12 +313,34 @@ impl AdaptiveSoftBudget {
                         hard_budget,
                         schedule,
                         rounds: Vec::new(),
+                        beam_stats: ScheduleStats::default(),
                         total_stats: ScheduleStats::default(),
                     },
                     true,
                 ))
             }
             Err(other) => Err(other),
+        }
+    }
+
+    /// Peak and search effort of a default-width beam order of `graph`
+    /// with `prefix` pinned. The beam runs without the caller's bound and
+    /// event sink, so a seeded incumbent cannot cut it off and it reports
+    /// nothing. The peak is `None` when the beam fails for any reason other
+    /// than cancellation or the deadline.
+    fn beam_start(
+        &self,
+        graph: &Graph,
+        prefix: &[serenity_ir::NodeId],
+        ctx: &CompileContext,
+    ) -> Result<(Option<u64>, ScheduleStats), ScheduleError> {
+        let beam_ctx = ctx.with_bound(None).with_event_sink(None);
+        match BeamBackend::default().schedule_with_prefix(graph, prefix, &beam_ctx) {
+            Ok(outcome) => Ok((Some(outcome.schedule.peak_bytes), outcome.stats)),
+            Err(err @ (ScheduleError::Cancelled | ScheduleError::DeadlineExceeded { .. })) => {
+                Err(err)
+            }
+            Err(_) => Ok((None, ScheduleStats::default())),
         }
     }
 
@@ -317,10 +376,25 @@ mod tests {
     }
 
     #[test]
-    fn first_round_uses_hard_budget() {
-        let g = independent_branches(5, 16);
+    fn first_round_starts_at_a_beam_peak_below_kahn() {
+        use crate::backend::{BeamBackend, SchedulerBackend};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let g = random_dag(
+            &RandomDagConfig { nodes: 12, edge_prob: 0.3, ..Default::default() },
+            &mut rng,
+        );
+        let kahn = mem::peak_bytes(&g, &topo::kahn(&g)).unwrap();
+        let beam = BeamBackend::default()
+            .schedule(&g, &CompileContext::unconstrained())
+            .unwrap()
+            .schedule
+            .peak_bytes;
+        assert!(beam < kahn, "the graph must separate the beam peak {beam} from Kahn's {kahn}");
         let outcome = AdaptiveSoftBudget::new().search(&g).unwrap();
-        assert_eq!(outcome.rounds[0].budget, outcome.hard_budget);
+        assert_eq!(outcome.rounds[0].budget, beam);
+        assert_eq!(outcome.rounds.len(), 1, "a sound first τ succeeds at once");
+        assert_eq!(outcome.hard_budget, kahn, "Kahn stays the hard budget");
     }
 
     #[test]

@@ -4,18 +4,20 @@
 
 use std::time::Duration;
 
+use serenity_core::beam::BeamScheduler;
 use serenity_core::budget::{AdaptiveSoftBudget, RoundFlag};
 use serenity_core::dp::DpScheduler;
 use serenity_ir::random_dag::independent_branches;
 use serenity_ir::{mem, topo};
 
 #[test]
-fn first_round_runs_at_the_hard_budget() {
+fn first_round_runs_at_the_lower_of_kahn_and_beam() {
     let g = independent_branches(7, 64);
     let hard = mem::peak_bytes(&g, &topo::kahn(&g)).unwrap();
+    let beam = BeamScheduler::new(64).schedule(&g).unwrap().schedule.peak_bytes;
     let outcome = AdaptiveSoftBudget::new().search(&g).unwrap();
     assert_eq!(outcome.hard_budget, hard);
-    assert_eq!(outcome.rounds[0].budget, hard, "Algorithm 2 line 3-4: τ starts at τ_max");
+    assert_eq!(outcome.rounds[0].budget, hard.min(beam), "τ₀ = min(τ_max, beam peak)");
 }
 
 #[test]
@@ -66,7 +68,8 @@ fn round_stats_accumulate_into_totals() {
     let g = independent_branches(8, 32);
     let outcome = AdaptiveSoftBudget::new().search(&g).unwrap();
     let summed: u64 = outcome.rounds.iter().map(|r| r.stats.transitions).sum();
-    assert_eq!(outcome.total_stats.transitions, summed);
+    assert!(outcome.beam_stats.transitions > 0, "the beam run that sets τ₀ is counted");
+    assert_eq!(outcome.total_stats.transitions, outcome.beam_stats.transitions + summed);
 }
 
 #[test]

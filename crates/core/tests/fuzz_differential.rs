@@ -1,7 +1,7 @@
 //! Seeded differential fuzzing of the scheduling stack against the
 //! independent verifier.
 //!
-//! Three oracles are cross-checked on randomly generated DAGs:
+//! Five oracles are cross-checked on randomly generated DAGs:
 //!
 //! 1. **Backend conformance**: every registered backend returns a valid
 //!    topological order whose peak matches the reference profiler; the
@@ -14,7 +14,10 @@
 //!    [`CapacityTarget`]s carry a [`CapacityReport`] that must equal both
 //!    a direct `serenity_memsim` simulation of the compiled order and the
 //!    verifier's own independent trace replay.
-//! 4. **Mutation rejection**: every seeded corruption of a certified
+//! 4. **Order identity**: budget-pruned DP returns the unbudgeted schedule
+//!    at every τ ≥ µ* (µ*, the beam peak, the Kahn peak), with or without
+//!    a weak incumbent bound, and `adaptive` returns the `dp` schedule.
+//! 5. **Mutation rejection**: every seeded corruption of a certified
 //!    result (reordered schedule, wrong peak, overlapping / out-of-arena
 //!    offsets, tampered live ranges or arena size, fabricated or dropped
 //!    rewrites, under-claimed traffic, fabricated capacity fits) is
@@ -30,10 +33,12 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serenity_allocator::Strategy;
-use serenity_core::backend::{CompileContext, SchedulerBackend};
+use serenity_core::backend::{
+    AdaptiveBackend, BeamBackend, BoundHandle, CompileContext, SchedulerBackend,
+};
 use serenity_core::cache::CompileCache;
 use serenity_core::capacity::CapacityTarget;
-use serenity_core::dp::DpConfig;
+use serenity_core::dp::{DpConfig, DpScheduler};
 use serenity_core::pipeline::{CompiledSchedule, RewriteMode, Serenity};
 use serenity_core::registry::BackendRegistry;
 use serenity_core::verify::{verify, VerifyFailure};
@@ -188,6 +193,51 @@ fn dp_thread_counts_are_bit_identical() {
             "seed {}: dp thread counts diverged on {graph}",
             seed()
         );
+    }
+}
+
+/// The order-identity law behind the adaptive search's start at the beam
+/// peak: for any τ ≥ µ*, budget-pruned DP keeps exactly the part of the
+/// unbudgeted frontier with peak ≤ τ, in the same canonical order, so it
+/// returns the unbudgeted schedule — with or without a weak incumbent
+/// bound — and `adaptive` returns what `dp` does.
+#[test]
+fn dp_schedules_are_identical_at_every_sound_budget() {
+    let ctx = CompileContext::unconstrained();
+    for graph in corpus() {
+        let free = DpScheduler::new()
+            .schedule(&graph)
+            .unwrap_or_else(|e| panic!("seed {}: dp failed on {graph}: {e}", seed()))
+            .schedule;
+        let optimal = free.peak_bytes;
+        let beam = BeamBackend::default()
+            .schedule(&graph, &ctx)
+            .expect("beam schedules")
+            .schedule
+            .peak_bytes;
+        let kahn = mem::peak_bytes(&graph, &topo::kahn(&graph)).expect("corpus graphs profile");
+        for (label, budget) in
+            [("none", None), ("µ*", Some(optimal)), ("beam", Some(beam)), ("kahn", Some(kahn))]
+        {
+            for weak in [false, true] {
+                // A fresh handle per run: a finished run may tighten it.
+                let run_ctx = ctx.with_bound(weak.then(|| BoundHandle::seeded_weak(optimal)));
+                let dp = budget.map_or_else(DpScheduler::new, |tau| DpScheduler::new().budget(tau));
+                let run = dp.schedule_with_prefix_ctx(&graph, &[], &run_ctx).unwrap_or_else(|e| {
+                    panic!("seed {}: dp at τ={label} (weak={weak}) failed on {graph}: {e}", seed())
+                });
+                assert_eq!(
+                    run.schedule,
+                    free,
+                    "seed {}: dp at τ={label} (weak={weak}) changed the order on {graph}",
+                    seed()
+                );
+            }
+        }
+        let adaptive = AdaptiveBackend::default()
+            .schedule(&graph, &ctx)
+            .unwrap_or_else(|e| panic!("seed {}: adaptive failed on {graph}: {e}", seed()));
+        assert_eq!(adaptive.schedule, free, "seed {}: adaptive ≠ dp on {graph}", seed());
     }
 }
 

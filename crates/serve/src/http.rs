@@ -213,8 +213,12 @@ fn read_head(stream: &mut TcpStream) -> Result<Vec<u8>, ReadError> {
 /// statuses advertise it only when the caller passes `retry_after` (the
 /// service sets it on transient refusals like budget 413s with no
 /// degradation ladder to absorb them).
+///
+/// Head and body leave in one `write` call. Written separately, Nagle's
+/// algorithm holds the body of a keep-alive response back until the
+/// client's delayed ACK of the head arrives, about 40 ms later.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     body: &str,
     keep_alive: bool,
@@ -223,12 +227,12 @@ pub fn write_response(
     let reason = reason_phrase(status);
     let connection = if keep_alive { "keep-alive" } else { "close" };
     let retry_after = if status == 503 || retry_after { "retry-after: 1\r\n" } else { "" };
-    let head = format!(
+    let mut response = format!(
         "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {connection}\r\n{retry_after}\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    response.push_str(body);
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
@@ -369,6 +373,36 @@ mod tests {
         assert!(text.contains("content-length: 11\r\n"), "{text}");
         assert!(text.contains("connection: keep-alive\r\n"), "{text}");
         assert!(text.ends_with("{\"ok\":true}"), "{text}");
+    }
+
+    /// Counts the `write` calls made on it.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_response_is_one_write() {
+        let body = "{\"result\":[1,2,3]}";
+        let mut out = CountingWriter::default();
+        write_response(&mut out, 200, body, true, false).unwrap();
+        assert_eq!(out.writes, 1);
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+        assert!(text.ends_with(&format!("\r\n\r\n{body}")), "{text}");
     }
 
     #[test]

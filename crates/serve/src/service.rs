@@ -313,6 +313,9 @@ struct CompiledPayload {
     /// Serialized [`CompileResult`] — already a string so every waiter
     /// ships byte-identical text without re-serializing.
     result_json: String,
+    /// The leader's graph name, which `result_json` carries as `graph`.
+    /// Single-flight keys ignore names, so a waiter may have another.
+    graph_name: String,
     cache_hits: u64,
     cache_misses: u64,
     compile_micros: u64,
@@ -330,6 +333,17 @@ struct CompiledPayload {
     /// carried `?capacity=`. `None` keeps unconstrained responses
     /// byte-identical to a service that never heard of capacities.
     capacity_json: Option<String>,
+}
+
+impl CompiledPayload {
+    /// `result_json` with `graph` set to `name`. `graph` is the first field
+    /// of [`CompileResult`], so only the leading name is re-serialized.
+    fn result_json_named(&self, name: &str) -> String {
+        let quoted = |s: &str| serde_json::to_string(s).expect("a string serializes");
+        let leader = format!("{{\"graph\":{}", quoted(&self.graph_name));
+        let rest = self.result_json.strip_prefix(&leader).expect("result_json starts with `graph`");
+        format!("{{\"graph\":{}{rest}", quoted(name))
+    }
 }
 
 /// A deterministic compile failure, shared across coalesced waiters (all
@@ -634,6 +648,7 @@ impl CompileService {
                         let capacity_json = compiled.capacity.map(|r| capacity_summary(&r));
                         Work::Done(Ok(Arc::new(CompiledPayload {
                             result_json,
+                            graph_name: compiled.graph.name().to_string(),
                             cache_hits: compiled.stats.cache_hits,
                             cache_misses: compiled.stats.cache_misses,
                             compile_micros: u64::try_from(compile_started.elapsed().as_micros())
@@ -685,9 +700,13 @@ impl CompileService {
         let coalesced = matches!(outcome, FlightOutcome::Shared(_));
         let response = match outcome {
             FlightOutcome::Led(flight) | FlightOutcome::Shared(flight) => match flight {
-                Ok(payload) => {
-                    Some(self.compile_response(&payload, coalesced, arrived.elapsed(), want_verify))
-                }
+                Ok(payload) => Some(self.compile_response(
+                    &payload,
+                    graph.name(),
+                    coalesced,
+                    arrived.elapsed(),
+                    want_verify,
+                )),
                 Err(failure) => {
                     let mut response =
                         Response::error(failure.status, failure.kind, &failure.detail);
@@ -721,6 +740,7 @@ impl CompileService {
     fn compile_response(
         &self,
         payload: &CompiledPayload,
+        graph_name: &str,
         coalesced: bool,
         request_elapsed: Duration,
         want_verify: bool,
@@ -769,9 +789,16 @@ impl CompileService {
             meta.push('}');
         }
         // `result` is spliced in as pre-serialized text so coalesced and
-        // leading responses are byte-identical in that field.
-        let body = format!("{{\"result\":{},\"meta\":{}}}", payload.result_json, meta);
-        Response::json(200, body)
+        // leading responses are byte-identical in that field — up to the
+        // graph name, which is the requester's own.
+        let renamed;
+        let result = if graph_name == payload.graph_name {
+            &payload.result_json
+        } else {
+            renamed = payload.result_json_named(graph_name);
+            &renamed
+        };
+        Response::json(200, format!("{{\"result\":{result},\"meta\":{meta}}}"))
     }
 
     fn handle_status(&self) -> Response {
@@ -1095,49 +1122,76 @@ mod tests {
         assert_eq!(health.status, 200);
     }
 
+    /// A backend whose compiles block until the test opens the gate. This
+    /// makes the schedule deterministic on any machine: the leader is
+    /// parked inside its compile while other requests pile up as flight
+    /// waiters, and only then does the gate open.
+    struct GatedBackend {
+        inner: AdaptiveBackend,
+        gate: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
+    }
+
+    impl GatedBackend {
+        fn service() -> (Arc<CompileService>, Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>) {
+            let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+            let svc = Arc::new(CompileService::new(
+                Arc::new(GatedBackend {
+                    inner: AdaptiveBackend::default(),
+                    gate: Arc::clone(&gate),
+                }),
+                Arc::new(CompileCache::new()),
+                ServiceConfig::default(),
+            ));
+            (svc, gate)
+        }
+
+        /// Waits until `waiters` requests are blocked on the leader's
+        /// flight, then lets the leader's compile proceed.
+        fn open_after(
+            svc: &CompileService,
+            gate: &(std::sync::Mutex<bool>, std::sync::Condvar),
+            waiters: u64,
+        ) {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while svc.flights.stats().waiting < waiters {
+                assert!(Instant::now() < deadline, "waiters never joined the flight");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let (open, bell) = gate;
+            *open.lock().unwrap() = true;
+            bell.notify_all();
+        }
+
+        fn wait_for_gate(&self) {
+            let (open, bell) = &*self.gate;
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = bell.wait(open).unwrap();
+            }
+        }
+    }
+
+    impl SchedulerBackend for GatedBackend {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn config_fingerprint(&self) -> u64 {
+            self.inner.config_fingerprint()
+        }
+        fn schedule(
+            &self,
+            graph: &Graph,
+            ctx: &serenity_core::CompileContext,
+        ) -> Result<serenity_core::backend::BackendOutcome, ScheduleError> {
+            self.wait_for_gate();
+            self.inner.schedule(graph, ctx)
+        }
+    }
+
     #[test]
     fn concurrent_identical_requests_coalesce_to_one_compile() {
         const N: usize = 6;
-        // A backend whose first compile blocks until the test opens the
-        // gate. This makes the schedule deterministic on any machine: the
-        // leader is parked inside its compile while the other N-1 requests
-        // pile up as flight waiters, and only then does the gate open.
-        struct GatedBackend {
-            inner: AdaptiveBackend,
-            gate: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
-        }
-        impl GatedBackend {
-            fn wait_for_gate(&self) {
-                let (open, bell) = &*self.gate;
-                let mut open = open.lock().unwrap();
-                while !*open {
-                    open = bell.wait(open).unwrap();
-                }
-            }
-        }
-        impl SchedulerBackend for GatedBackend {
-            fn name(&self) -> &str {
-                self.inner.name()
-            }
-            fn config_fingerprint(&self) -> u64 {
-                self.inner.config_fingerprint()
-            }
-            fn schedule(
-                &self,
-                graph: &Graph,
-                ctx: &serenity_core::CompileContext,
-            ) -> Result<serenity_core::backend::BackendOutcome, ScheduleError> {
-                self.wait_for_gate();
-                self.inner.schedule(graph, ctx)
-            }
-        }
-
-        let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
-        let svc = Arc::new(CompileService::new(
-            Arc::new(GatedBackend { inner: AdaptiveBackend::default(), gate: Arc::clone(&gate) }),
-            Arc::new(CompileCache::new()),
-            ServiceConfig::default(),
-        ));
+        let (svc, gate) = GatedBackend::service();
         let graph = demo_graph(6);
         let body = to_json(&graph);
         let mut handles = Vec::new();
@@ -1147,18 +1201,7 @@ mod tests {
                 svc.handle(&post_compile(&body, ""), &CancelToken::new()).unwrap()
             }));
         }
-        // Wait until every non-leader request is blocked on the leader's
-        // flight, then let the leader's compile proceed.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while svc.flights.stats().waiting < (N - 1) as u64 {
-            assert!(Instant::now() < deadline, "waiters never joined the flight");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        {
-            let (open, bell) = &*gate;
-            *open.lock().unwrap() = true;
-            bell.notify_all();
-        }
+        GatedBackend::open_after(&svc, &gate, (N - 1) as u64);
         let responses: Vec<Response> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         let results: Vec<serde_json::Value> = responses
             .iter()
@@ -1177,6 +1220,43 @@ mod tests {
         let coalesced = parsed["singleflight"]["coalesced"].as_u64().unwrap();
         assert_eq!(leads, 1, "exactly one request ran the compile");
         assert_eq!(coalesced, (N - 1) as u64, "every other request shared the result");
+    }
+
+    #[test]
+    fn coalesced_waiter_is_served_under_its_own_name() {
+        let (svc, gate) = GatedBackend::service();
+        let first = demo_graph(6);
+        let mut second = first.clone();
+        second.set_name("svc-demo-twin \"quoted\"");
+        let spawn = |graph: &Graph| {
+            let (svc, body) = (Arc::clone(&svc), to_json(graph));
+            std::thread::spawn(move || {
+                svc.handle(&post_compile(&body, ""), &CancelToken::new()).unwrap()
+            })
+        };
+        let leader = spawn(&first);
+        // The second request joins only once the first leads the flight.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while svc.flights.stats().leads < 1 {
+            assert!(Instant::now() < deadline, "the first request never led a flight");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let waiter = spawn(&second);
+        GatedBackend::open_after(&svc, &gate, 1);
+        let fresh = service();
+        for (handle, graph, coalesced) in [(leader, &first, false), (waiter, &second, true)] {
+            let response = handle.join().unwrap();
+            assert_eq!(response.status, 200, "{}", response.body);
+            let body: serde_json::Value = serde_json::from_str(&response.body).unwrap();
+            assert_eq!(body["meta"]["coalesced"].as_bool(), Some(coalesced));
+            let expected = fresh.compile_result_json(graph).unwrap();
+            assert!(
+                response.body.starts_with(&format!("{{\"result\":{expected},\"meta\":")),
+                "{} was served {}",
+                graph.name(),
+                response.body
+            );
+        }
     }
 
     #[test]
